@@ -11,12 +11,10 @@ hot-path speedup gate).
 
 Sweep-shaped benches execute their (config x workload x seed) grids
 through :func:`sweep_runner`, which honours the ``--jobs`` pytest option
-/ ``REPRO_JOBS`` environment knob for parallelism and keeps an
-incremental result cache under ``benchmarks/results/.cache/``.  The
-executor backend is equally env-driven: ``--backend``/``REPRO_BACKEND``
-picks serial, process, or tcp, and ``--workers``/``REPRO_WORKERS``
-supplies the TCP fleet's addresses — results are bit-identical on every
-backend, so benches never need to care which one ran them.
+/ ``REPRO_JOBS`` environment knob for parallelism (more than one job
+runs cells on a local process pool; results are bit-identical to a
+serial run either way) and keeps an incremental result cache under
+``benchmarks/results/.cache/`` (``REPRO_SWEEP_CACHE=0`` disables it).
 Failure semantics are configurable the same way: ``--fail-policy`` /
 ``REPRO_FAIL_POLICY`` picks strict (raise an aggregated ``SweepError``)
 or degrade (partial results + failure manifest), and ``--cell-timeout``

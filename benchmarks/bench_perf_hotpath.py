@@ -49,7 +49,7 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
 
 from repro.dram.mapping import DramCoord
 from repro.presets import small_machine
-from repro.sim.kernels import accel_signature, engine_mode
+from repro.sim.kernels import accel_signature
 from repro.sim.ops import CLFLUSH, COMPUTE, LOAD, STORE
 
 from _common import publish
@@ -243,7 +243,6 @@ def main(argv=None):
         "bench": "perf_hotpath",
         "mode": "smoke" if args.smoke else "full",
         "accel": accel_signature(),
-        "engine": engine_mode(),
         "gate": {"workloads": dict(GATES), "enforced": gate_on},
         "workloads": results,
     }

@@ -5,7 +5,7 @@ bit-identical-results guarantee in this repo rests on:
 
 =======  ==============================================================
 ``DET``  nothing reachable from seed derivation, ``code_fingerprint``,
-         journal records, or wire payloads may call ``hash()``/``id()``/
+         or journal records may call ``hash()``/``id()``/
          wall clocks/``os.urandom``/the unseeded global RNG; the
          serialization core must iterate sorted and ``json.dumps`` with
          ``sort_keys=True``
@@ -21,6 +21,8 @@ bit-identical-results guarantee in this repo rests on:
 Suppressions are explicit (``# repro: noqa[DET]``), grandfathered
 findings live in a committed baseline (``.repro-lint-baseline.json``),
 and the CLI exits nonzero on any blocking finding so CI gates on it.
+A configuration that names a module or file the linted package no longer
+has is an error (exit 2), so the DET scope cannot shrink silently.
 """
 
 from .baseline import Baseline, load_baseline, save_baseline

@@ -84,7 +84,7 @@ def run(args: argparse.Namespace) -> int:
     paths = list(args.paths) or default_paths()
     try:
         result = run_lint(paths, config=config, baseline=baseline)
-    except ValueError as exc:  # unknown rule family from --rules
+    except ValueError as exc:  # unknown --rules family or stale LintConfig
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ both call it).  Pipeline:
 
 1. collect ``.py`` files from the given paths (skipping caches and
    hidden directories), parse each once;
-2. build the intra-package import graph and compute the DET closure;
+2. check that every DET configuration entry still names a linted file
+   (:func:`stale_config_entries`), then build the intra-package import
+   graph and compute the DET closure;
 3. run every requested rule over the shared :class:`LintContext`;
 4. assign baseline fingerprints, drop ``# repro: noqa[RULE]``-suppressed
    findings, then split the rest against the baseline.
@@ -86,6 +88,33 @@ def collect_files(paths: list[str | Path], base: Path | None = None) -> list[Sou
     return [parse_source(path, base=base) for path in ordered]
 
 
+def stale_config_entries(files: list[SourceFile], config: LintConfig) -> list[str]:
+    """DET configuration entries (roots, core suffixes, allowed-call
+    paths) that match no linted file.
+
+    An entry is checked when the linted files include the top-level
+    package it names (``<package>/__init__.py``), i.e. whenever the tree
+    the configuration describes is the tree being linted; linting a
+    subdirectory or a fixture tree checks nothing, and ``det_all`` runs
+    skip the check.
+    """
+    if config.det_all:
+        return []
+    modules = {f.module for f in files if f.module is not None}
+    packages = {f.module for f in files if f.is_package_init and f.module is not None}
+    stale = [
+        f"det_roots: {root}" for root in config.det_roots
+        if root.partition(".")[0] in packages and root not in modules
+    ]
+    paths = [("det_core_suffixes", suffix) for suffix in config.det_core_suffixes]
+    paths += [("det_allowed_calls", suffix) for suffix, _ in config.det_allowed_calls]
+    for field_name, suffix in paths:
+        if (suffix.partition("/")[0] in packages
+                and not any(f.endswith((suffix,)) for f in files)):
+            stale.append(f"{field_name}: {suffix}")
+    return stale
+
+
 def build_det_scope(files: list[SourceFile], config: LintConfig) -> set[str]:
     """The determinism closure over the linted files' import graph."""
     known = {f.module for f in files if f.module is not None}
@@ -108,6 +137,13 @@ def run_lint(
     """Lint ``paths`` and return the filtered result (see module docstring)."""
     config = config or LintConfig()
     files = collect_files(paths, base=base)
+    stale = stale_config_entries(files, config)
+    if stale:
+        # A ValueError, like an unknown rule family: the CLI exits 2.
+        raise ValueError(
+            "lint configuration names files the linted tree does not have "
+            "(prune them from LintConfig): " + ", ".join(stale)
+        )
     ctx = LintContext(
         files=files, config=config, det_scope=build_det_scope(files, config),
     )

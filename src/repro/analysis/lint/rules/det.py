@@ -1,5 +1,5 @@
-"""DET — determinism of everything feeding seeds, fingerprints, journal
-records, and wire payloads.
+"""DET — determinism of everything feeding seeds, fingerprints, and
+journal records.
 
 Two tiers, both scoped by the import-graph closure in
 :mod:`repro.analysis.lint.scope`:
@@ -14,7 +14,7 @@ Two tiers, both scoped by the import-graph closure in
 * **Serialization core** (the files that *build* hashed/framed bytes):
   iterating a dict view or a set without ``sorted(...)`` bakes hash-seed
   or insertion order into the output, and ``json.dumps`` without
-  ``sort_keys=True`` bakes dict order into journal lines / wire frames.
+  ``sort_keys=True`` bakes dict order into journal lines.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ _BANNED_CALLS = {
     "time.time": ("DET003",
                   "wall-clock time.time() in determinism-scoped code",
                   "machine time is the simulated cycle counter; wall clocks "
-                  "may only feed telemetry (see the worker timing shims)"),
+                  "may only feed telemetry (see the backend timing shim)"),
     "time.perf_counter": ("DET003",
                           "wall-clock time.perf_counter() in determinism-scoped code",
                           "machine time is the simulated cycle counter; wall clocks "
-                          "may only feed telemetry (see the worker timing shims)"),
+                          "may only feed telemetry (see the backend timing shim)"),
     "perf_counter": ("DET003",
                      "wall-clock perf_counter() in determinism-scoped code",
                      "machine time is the simulated cycle counter; wall clocks "
-                     "may only feed telemetry (see the worker timing shims)"),
+                     "may only feed telemetry (see the backend timing shim)"),
     "os.urandom": ("DET004",
                    "os.urandom() is entropy; results must be a pure function "
                    "of (grid, root seed)",
@@ -180,7 +180,7 @@ class DetRule(Rule):
             rule=self.FAMILY, code="DET008", path=src.rel,
             line=node.lineno, col=node.col_offset,
             message=f"{name}() without sort_keys=True in serialization-core "
-                    "code (journal/wire bytes would depend on dict order)",
+                    "code (journal bytes would depend on dict order)",
             hint="pass sort_keys=True so identical records serialize "
                  "identically everywhere",
         )]

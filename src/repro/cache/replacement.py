@@ -55,7 +55,7 @@ class ReplacementPolicy(ABC):
 
     def state_key(self) -> tuple | None:
         """A hashable canonical form of the replacement state, or None when
-        the policy cannot be snapshotted.
+        the policy has no canonical form.
 
         Two policy instances with equal keys make identical decisions for
         any future access sequence — the property the turbo engine

@@ -43,7 +43,6 @@ from .base import (
     ExecutorBackend,
     TaskOutcome,
     TransientSubmitError,
-    WorkerHealth,
     run_task,
 )
 
@@ -79,8 +78,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self._futures: dict = {}  # Future -> CellTask
         self._ready: deque[TaskOutcome] = deque()
         self._dead = False
-        self._done = 0
-        self._failed = 0
 
     @property
     def capacity(self) -> int:
@@ -164,11 +161,10 @@ class ProcessPoolBackend(ExecutorBackend):
         for fut in done:
             task = self._futures.pop(fut)
             try:
-                value, duration, prefix_blob = fut.result()
+                value, duration = fut.result()
             except BrokenProcessPool:
                 # The worker running this cell (or a sibling) died.
                 broken = True
-                self._failed += 1
                 out.append(TaskOutcome(
                     task_id=task.task_id, kind=LOST,
                     error="worker process died (BrokenProcessPool)",
@@ -182,16 +178,14 @@ class ProcessPoolBackend(ExecutorBackend):
                     error=str(exc) or repr(exc), error_type=type(exc).__name__,
                 ))
             except Exception as exc:
-                self._failed += 1
                 out.append(TaskOutcome(
                     task_id=task.task_id, kind=ERROR,
                     error=str(exc) or repr(exc), error_type=type(exc).__name__,
                 ))
             else:
-                self._done += 1
                 out.append(TaskOutcome(
                     task_id=task.task_id, kind=OK, value=value,
-                    duration_s=duration, prefix_blob=prefix_blob,
+                    duration_s=duration,
                 ))
         if broken:
             self._break_pool()
@@ -214,14 +208,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self._futures.clear()
         self._ready.clear()
         self._retire_pool(cancel=cancel)
-
-    def worker_health(self) -> list[WorkerHealth]:
-        return [WorkerHealth(
-            worker_id=f"pool[{self.workers}]",
-            alive=self._pool is not None and not self._dead,
-            tasks_done=self._done, tasks_failed=self._failed,
-            detail=f"pool_breaks={self.pool_breaks}",
-        )]
 
     def stats(self) -> dict[str, int]:
         return {"pool_breaks": self.pool_breaks}

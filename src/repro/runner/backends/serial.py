@@ -1,7 +1,7 @@
 """In-process serial backend: one task at a time, zero isolation.
 
 The reference implementation of the backend contract — and the executor
-of last resort the runner falls back to when a richer backend reports
+of last resort the runner falls back to when the process pool reports
 :class:`~.base.BackendUnavailableError`.  Execution happens inside
 :meth:`poll` in the parent process, so crash faults raise
 :class:`~repro.runner.faults.InjectedCrashError` instead of exiting the
@@ -11,7 +11,7 @@ interpreter, and per-cell timeouts are unenforceable
 
 from __future__ import annotations
 
-from .base import ERROR, OK, CellTask, ExecutorBackend, TaskOutcome, WorkerHealth, run_task
+from .base import ERROR, OK, CellTask, ExecutorBackend, TaskOutcome, run_task
 
 
 class SerialBackend(ExecutorBackend):
@@ -20,8 +20,6 @@ class SerialBackend(ExecutorBackend):
 
     def __init__(self) -> None:
         self._pending: CellTask | None = None
-        self._done = 0
-        self._failed = 0
 
     @property
     def capacity(self) -> int:
@@ -38,26 +36,16 @@ class SerialBackend(ExecutorBackend):
             return []
         self._pending = None
         try:
-            value, duration, prefix_blob = run_task(task, in_worker=False)
+            value, duration = run_task(task, in_worker=False)
         except Exception as exc:
-            self._failed += 1
             return [TaskOutcome(
                 task_id=task.task_id, kind=ERROR,
                 error=str(exc) or repr(exc), error_type=type(exc).__name__,
             )]
-        self._done += 1
         return [TaskOutcome(
             task_id=task.task_id, kind=OK, value=value, duration_s=duration,
-            prefix_blob=prefix_blob,
         )]
 
     def abandon(self, task_ids) -> None:
         # An in-process task cannot be preempted; nothing to reclaim.
         self._pending = None
-
-    def worker_health(self) -> list[WorkerHealth]:
-        return [WorkerHealth(
-            worker_id="in-process", alive=True, tasks_done=self._done,
-            tasks_failed=self._failed,
-            current_task=self._pending.task_id if self._pending else None,
-        )]

@@ -16,7 +16,7 @@ reduction could reorder float additions.
 stdlib fallback even when numpy is importable — CI runs the equivalence
 suites in both modes.  :func:`accel_signature` names the active mode
 (``numpy-<version>`` / ``stdlib``) and is folded into the sweep cache's
-code fingerprint so cached results never mix engines.
+code fingerprint so cached results never mix kernel modes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import os
 from bisect import bisect_left as _bisect_left
 
 ACCEL_ENV = "REPRO_ACCEL"
-ENGINE_ENV = "REPRO_ENGINE"
 
 _FALSY = ("0", "off", "stdlib", "false", "no")
 
@@ -64,14 +63,6 @@ def accel_signature() -> str:
     """The active kernel mode: ``numpy-<version>`` or ``stdlib``."""
     np = numpy_or_none()
     return f"numpy-{np.__version__}" if np is not None else "stdlib"
-
-
-def engine_mode(default: str = "fastpath") -> str:
-    """The configured execution engine (``REPRO_ENGINE``): one of
-    ``exact`` / ``fastpath`` / ``turbo``.  Purely declarative — callers
-    that honour it pick the matching ``Machine.run*`` entry point — but
-    it participates in cache fingerprints either way."""
-    return os.environ.get(ENGINE_ENV, "").strip().lower() or default
 
 
 # -- array plumbing -------------------------------------------------------------

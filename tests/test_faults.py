@@ -178,20 +178,6 @@ def test_backoff_jitter_is_keyed_deterministic_and_bounded():
         RetryPolicy(jitter=1.5)
 
 
-def test_freeze_fault_in_process_raises_like_a_failure():
-    # Outside a fleet connection there is nothing to mute: a freeze
-    # surfaces as an ordinary injected failure and retries recover it.
-    from repro.runner import InjectedFreezeError
-
-    cells = make_grid(3)
-    plan = FaultPlan.of(Fault("freeze", 1, attempts=None))
-    runner = SweepRunner(jobs=1, root_seed=9, policy="degrade",
-                         retry=FAST_RETRY, fault_plan=plan)
-    results = runner.run(cells)
-    assert results[1].error_type == InjectedFreezeError.__name__
-    assert results[0].ok and results[2].ok
-
-
 # -- pool recovery: crashes, hangs/timeouts, mid-sweep BrokenProcessPool --------
 
 
@@ -311,6 +297,32 @@ def test_journal_survives_torn_final_line(tmp_path):
     assert resumed.last_stats["journal_hits"] == 4
     assert resumed.last_stats["executed"] == 1
     assert {r.key: r for r in results} == clean_reference(cells, 3)
+
+
+def test_torn_tail_is_neutralised_when_the_journal_reopens(tmp_path):
+    """A writer killed mid-append leaves a torn, newline-less tail: every
+    complete record still loads, and a resuming journal starts its next
+    record on a fresh line instead of merging it into the tear."""
+    from repro.runner import JobResult
+
+    path = tmp_path / "sweep.journal"
+    jid = sweep_id(2, [f"c/{i}" for i in range(8)], "fp")
+    journal = SweepJournal(path)
+    journal.open_for(jid, resume=False)
+    for i in range(7):
+        journal.record(JobResult(key=f"c/{i}", value=i, seed=i))
+    journal.close()
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"key": "c/7", "seed": 7, "value": "trunc')
+
+    survivor = SweepJournal(path)
+    assert set(survivor.load(jid)) == {f"c/{i}" for i in range(7)}
+    survivor.open_for(jid, resume=True)
+    survivor.record(JobResult(key="c/7", value=7, seed=7))
+    survivor.close()
+    done = SweepJournal(path).load(jid)
+    assert set(done) == {f"c/{i}" for i in range(8)}
+    assert done["c/7"].value == 7
 
 
 def test_sweep_journal_roundtrip_unit(tmp_path):

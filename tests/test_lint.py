@@ -10,6 +10,7 @@ without being mirrored in the turbo engine.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -23,6 +24,7 @@ from repro.analysis.lint import (
     run_lint,
     save_baseline,
 )
+from repro.analysis.lint import cli as lint_cli
 from repro.analysis.lint.baseline import BaselineError
 from repro.cli import main
 
@@ -251,6 +253,45 @@ def test_unknown_rule_family_raises():
         run_lint([FIXTURES / "err_ok.py"], config=LintConfig(rules=("NOPE",)))
 
 
+def test_stale_det_config_is_a_configuration_error(tmp_path):
+    # A DET root, core suffix or allowed-call path naming no linted file
+    # must not be ignored: the determinism scope would shrink silently.
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "seeds.py").write_text("import random\nRNG = random.Random(1)\n")
+    stale = LintConfig(
+        rules=("DET",),
+        det_roots=("pkg.seeds", "pkg.gone"),
+        det_core_suffixes=("pkg/seeds.py", "pkg/gone.py"),
+        det_allowed_calls=(("pkg/wire.py", ("time.perf_counter",)),),
+    )
+    with pytest.raises(ValueError) as err:
+        run_lint([pkg], config=stale)
+    message = str(err.value)
+    for entry in ("det_roots: pkg.gone", "det_core_suffixes: pkg/gone.py",
+                  "det_allowed_calls: pkg/wire.py"):
+        assert entry in message
+    assert "pkg.seeds" not in message and "pkg/seeds.py" not in message
+    # Pruned, the same tree lints clean; det_all fixture runs skip the check.
+    pruned = LintConfig(rules=("DET",), det_roots=("pkg.seeds",),
+                        det_core_suffixes=("pkg/seeds.py",), det_allowed_calls=())
+    assert run_lint([pkg], config=pruned).ok
+    assert run_lint([pkg], config=dataclasses.replace(stale, det_all=True)).ok
+
+
+def test_cli_stale_config_exits_2(monkeypatch, capsys):
+    def stale_config(**kwargs):
+        config = LintConfig(**kwargs)
+        return dataclasses.replace(
+            config, det_roots=config.det_roots + ("repro.runner.gone",))
+
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(lint_cli, "LintConfig", stale_config)
+    assert main(["lint", "--no-baseline", "--rules", "DET"]) == 2
+    assert "repro.runner.gone" in capsys.readouterr().err
+
+
 def test_repo_sources_are_clean():
     # The self-gate CI enforces: the repo's own sources lint clean with
     # the default configuration and no baseline debt.
@@ -259,8 +300,8 @@ def test_repo_sources_are_clean():
     assert result.ok, "\n".join(
         f"{f.path}:{f.line} {f.code} {f.message}" for f in result.blocking
     )
-    # The DET closure actually reaches the serialization/transport stack.
-    for module in ("repro.runner.seeding", "repro.runner.backends.wire",
+    # The DET closure actually reaches the serialization/execution stack.
+    for module in ("repro.runner.seeding", "repro.runner.backends.base",
                    "repro.sim.machine"):
         assert module in result.det_scope
 

@@ -93,8 +93,7 @@ def test_parallel_results_identical_to_serial():
     cells = make_grid()
     serial = SweepRunner(jobs=1, root_seed=3).run(cells)
     parallel = SweepRunner(jobs=3, root_seed=3).run(cells)
-    chunked = SweepRunner(jobs=2, root_seed=3, chunk_size=1).run(cells)
-    assert serial == parallel == chunked
+    assert serial == parallel
     # Seeds derive from (root_seed, key), never from worker identity.
     assert [r.seed for r in serial] == [
         derive_seed(3, job.key) for job in cells
